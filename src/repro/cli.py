@@ -491,26 +491,21 @@ def _run_bench(args: argparse.Namespace) -> int:
     """Run a backend comparison and write its JSON report.
 
     Default: the one-shot measurement workload (``BENCH_columnar.json``).
-    With ``--mcmc``: the MCMC scoring-backend comparison — dataflow vs
-    full-pass columnar vs incremental columnar steps/second
-    (``BENCH_mcmc.json``).
+    With ``--mcmc``: MCMC synthesis throughput of the dataflow scoring
+    engine, checked against an eager re-score (``BENCH_mcmc.json``).
     """
     import json
 
     if args.mcmc:
-        from .inference.bench import mcmc_backend_comparison, format_mcmc_comparison
+        from .inference.bench import format_mcmc_throughput, mcmc_throughput
 
-        report = mcmc_backend_comparison(
+        report = mcmc_throughput(
             edge_counts=(args.edges,),
             steps=int(2000 * (args.steps if args.steps is not None else 1.0)),
             seed=args.seed if args.seed is not None else 0,
-            # 0 means "default": keep the fused-scoring micro-entry at the
-            # comparison's standard batch size so the written report matches
-            # the committed BENCH_mcmc.json.
-            proposal_batch=args.batch if args.batch else 16,
             processes=args.processes,
         )
-        output = format_mcmc_comparison(report)
+        output = format_mcmc_throughput(report)
         out_path = args.out
         if out_path == "BENCH_columnar.json":
             out_path = "BENCH_mcmc.json"
@@ -539,9 +534,8 @@ def _run_synth(args: argparse.Namespace, config: ExperimentConfig) -> int:
     """End-to-end synthesis demo: ``repro synth`` (Section 5.1 workflow).
 
     Generates an Erdős–Rényi graph, measures TbI, seeds a degree-matched
-    graph, and fits it with MCMC on the chosen scoring backend — optionally
-    with batched proposal evaluation (``--batch``) and parallel multi-chain
-    search (``--chains``).
+    graph, and fits it with MCMC — optionally with parallel multi-chain
+    search (``--chains``, in worker processes with ``--processes``).
     """
     import numpy as np
 
@@ -568,14 +562,8 @@ def _run_synth(args: argparse.Namespace, config: ExperimentConfig) -> int:
         seed_graph,
         pow_=config.pow_,
         rng=config.seed,
-        backend=args.backend,
     )
-    result = synthesizer.run(
-        steps,
-        chains=args.chains,
-        proposal_batch=args.batch or None,
-        processes=args.processes,
-    )
+    result = synthesizer.run(steps, chains=args.chains, processes=args.processes)
     if synthesizer.last_parallel_result is not None:
         rows = [
             (
@@ -606,9 +594,8 @@ def _run_synth(args: argparse.Namespace, config: ExperimentConfig) -> int:
             ["chain", "steps", "accepted", "steps/s", "log score", "triangles"],
             rows,
             title=(
-                f"Synthesis — backend={args.backend}, edges={edges_count}, "
-                f"chains={args.chains}, batch={args.batch or 'off'}, "
-                f"processes={args.processes or 'off'}"
+                f"Synthesis — backend={synthesizer.backend}, edges={edges_count}, "
+                f"chains={args.chains}, processes={args.processes or 'off'}"
             ),
         )
     )
@@ -859,7 +846,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--mcmc",
         action="store_true",
-        help="for 'bench': compare the MCMC scoring backends instead",
+        help="for 'bench': measure MCMC synthesis throughput instead",
     )
     parser.add_argument(
         "--chains",
@@ -876,22 +863,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(bit-identical to threads, but GIL-free); for 'bench --mcmc': "
             "add a process-parallel chain-scaling section at 1 and N workers"
         ),
-    )
-    parser.add_argument(
-        "--batch",
-        type=int,
-        default=0,
-        help=(
-            "for 'synth': proposals scored per fused batch (0 = sequential); "
-            "for 'bench --mcmc': batch size of the fused-scoring micro-entry "
-            "(0 = the default 16)"
-        ),
-    )
-    parser.add_argument(
-        "--backend",
-        default="incremental",
-        choices=["dataflow", "vectorized", "incremental"],
-        help="for 'synth': MCMC scoring backend",
     )
     parser.add_argument(
         "--host", default="127.0.0.1", help="for 'serve': bind address"

@@ -15,7 +15,7 @@ records to real weights — but stores it as NumPy arrays:
 Invariants: rows are unique (one row per record with non-zero weight) and
 every weight satisfies ``|w| > tolerance``, mirroring ``WeightedDataset``.
 Datasets are value objects — kernels never mutate ``columns``/``weights`` of
-an existing dataset (the MCMC engine's mutable sources build *snapshots*).
+an existing dataset.
 """
 
 from __future__ import annotations
@@ -27,30 +27,7 @@ import numpy as np
 from ..core.dataset import DEFAULT_TOLERANCE, WeightedDataset
 from .interning import global_interner
 
-__all__ = ["ColumnarDataset", "consolidate", "row_groups", "encode_query_rows"]
-
-
-def encode_query_rows(
-    records: Sequence[Any], width: int, arity: int | None
-) -> np.ndarray:
-    """Encode probe records as an ``(n, width)`` code matrix for one layout.
-
-    Rows that cannot match the layout (non-tuples, wrong arity) are filled
-    with the ``-1`` sentinel, which never equals a real code.  The matrix
-    stays valid as long as the probed datasets keep that layout, so callers
-    probing a fixed record set every MCMC step encode once and reuse it.
-    """
-    queries = np.full((len(records), width), -1, dtype=np.int64)
-    interner = global_interner()
-    for position, record in enumerate(records):
-        if arity is None:
-            queries[position, 0] = interner.code(record)
-        elif isinstance(record, tuple) and len(record) == arity:
-            # isinstance, not an exact type check: a namedtuple probe is
-            # ==-equal to the plain-tuple rows and must match them.
-            for column, field in enumerate(record):
-                queries[position, column] = interner.code(field)
-    return queries
+__all__ = ["ColumnarDataset", "consolidate", "row_groups"]
 
 
 def row_groups(
@@ -238,41 +215,6 @@ class ColumnarDataset:
                     zip(*(interner.atoms(column) for column in self.columns))
                 )
         return self._records
-
-    def weights_for(self, records: Sequence[Any]) -> np.ndarray:
-        """Vectorized weight lookup: ``[A(r) for r in records]`` (0 if absent).
-
-        Encoding the (typically few) query records is per-record Python, but
-        the dataset side stays columnar: rows are packed and binary-searched,
-        so the cost is O(rows · log rows) array work instead of decoding the
-        whole support into Python objects.  This is the read primitive of the
-        MCMC scorer, which probes a fixed released-record set against a large
-        query output every step — and caches the encoded query matrix across
-        steps via :func:`encode_query_rows` / :meth:`weights_for_codes`.
-        """
-        records = list(records)
-        return self.weights_for_codes(
-            encode_query_rows(records, len(self.columns), self.arity)
-        )
-
-    def weights_for_codes(self, queries: np.ndarray) -> np.ndarray:
-        """Like :meth:`weights_for` for a pre-encoded ``(n, width)`` query
-        matrix (as produced by :func:`encode_query_rows` for this layout)."""
-        width = len(self.columns)
-        out = np.zeros(queries.shape[0], dtype=np.float64)
-        if self.is_empty() or not queries.shape[0]:
-            return out
-        rows = np.column_stack(self.columns)
-        order = np.lexsort(tuple(self.columns)[::-1])
-        rows = rows[order]
-        positions = np.searchsorted(
-            rows.view([("", np.int64)] * width).ravel(),
-            np.ascontiguousarray(queries).view([("", np.int64)] * width).ravel(),
-        )
-        positions = np.minimum(positions, rows.shape[0] - 1)
-        hits = (rows[positions] == queries).all(axis=1)
-        out[hits] = self.weights[order][positions[hits]]
-        return out
 
     def as_opaque(self) -> "ColumnarDataset":
         """This dataset re-encoded with one whole-record code column."""

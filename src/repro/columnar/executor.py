@@ -82,9 +82,8 @@ class VectorizedExecutor(EagerExecutor):
     the vectorized kernels, and batch results decode to
     :class:`WeightedDataset` at the measurement boundary.  Environment
     values may be :class:`WeightedDataset` (encoded once and cached per
-    registered object) or already-columnar :class:`ColumnarDataset` values —
-    the latter is how the MCMC scorer feeds its incrementally updated weight
-    vectors straight to the kernels.
+    registered object) or already-columnar :class:`ColumnarDataset` values,
+    which reach the kernels without re-encoding.
     """
 
     def __init__(

@@ -26,9 +26,9 @@ The table is append-only: codes are never reused or invalidated, so cached
 code arrays stay valid for the life of the process.  Memory therefore grows
 with the number of distinct atoms ever seen — protected records, but also
 every distinct *intermediate* record the kernels produce (group-by prefix
-tuples, shave slices); a long vectorized MCMC run grows the vocabulary
-monotonically with the distinct intermediates its proposals generate, a
-deliberate trade of memory for cross-dataset code compatibility.
+tuples, shave slices); a long-running vectorized session grows the
+vocabulary monotonically with the distinct intermediates its queries
+generate, a deliberate trade of memory for cross-dataset code compatibility.
 """
 
 from __future__ import annotations

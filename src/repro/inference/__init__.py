@@ -1,34 +1,21 @@
 """Probabilistic inference: MCMC synthesis of datasets from measurements.
 
 Phase 2 of the paper's workflow fits a synthetic dataset to the released
-noisy measurements with Metropolis–Hastings.  Three interchangeable scoring
-backends drive the chain (selected via
-``GraphSynthesizer(backend=...)`` / ``synthesize_graph(backend=...)``):
-
-* ``"dataflow"`` — the dict-based incremental engine of Section 4.3: per-step
-  cost proportional to the changed intermediate data.
-* ``"vectorized"`` — full-pass columnar scoring: every step re-runs the
-  (deduplicated) measurement plans through the NumPy kernels over
-  incrementally updated weight vectors.
-* ``"incremental"`` — incremental columnar scoring: Section 4.3 asymptotics
-  *and* array kernels.  Deltas propagate as code/weight arrays through the
-  stateful operator DAG of :mod:`repro.columnar.incremental`, per-measurement
-  bin vectors keep ``‖Q(A) − m‖₁`` maintained in O(touched bins), and
-  ``run(..., proposal_batch=k)`` scores K candidate swaps in one fused
-  kernel pass.  The fastest backend on non-tiny graphs.
+noisy measurements with Metropolis–Hastings.  One engine scores proposals:
+the measurement plans compile into a warm
+:class:`~repro.dataflow.engine.DataflowEngine` (the incremental engine of
+Section 4.3), :class:`ScoreTracker` keeps ``Σ_i ε_i ‖Q_i(A) − m_i‖₁`` current
+as deltas flow through it, and :class:`IncrementalMetropolisHastings` applies,
+scores and accepts or rolls back each move, so a step costs O(changed
+intermediate data).
 
 ``GraphSynthesizer.run(chains=N)`` (or :func:`repro.inference.parallel
-.run_chains`) runs N independent chains with spawned RNG streams via
-``concurrent.futures`` and adopts the best-scoring graph.
+.run_chains`) runs N independent chains with spawned RNG streams — as threads,
+or with ``processes=N`` in worker processes — and adopts the best-scoring
+graph.
 """
 
-from .mcmc import (
-    BatchProposal,
-    IncrementalMetropolisHastings,
-    MCMCResult,
-    MCMCStepRecord,
-    MetropolisHastings,
-)
+from .mcmc import IncrementalMetropolisHastings, MCMCResult, MCMCStepRecord
 from .random_walks import EdgeSwapWalk, RecordReplacementWalk, edge_swap_delta
 from .scoring import MeasurementScore, ScoreTracker
 from .seed import (
@@ -46,20 +33,14 @@ from .synthesizer import (
 )
 
 __all__ = [
-    "MetropolisHastings",
     "IncrementalMetropolisHastings",
     "MCMCResult",
     "MCMCStepRecord",
-    "BatchProposal",
     "EdgeSwapWalk",
     "RecordReplacementWalk",
     "edge_swap_delta",
     "MeasurementScore",
     "ScoreTracker",
-    "ColumnarScoreEngine",
-    "IncrementalColumnarScoreEngine",
-    "MeasurementSink",
-    "MutableColumnarSource",
     "ChainOutcome",
     "ParallelSynthesisResult",
     "run_chains",
@@ -76,19 +57,9 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # Lazy re-exports: the columnar scorers pull in the whole vectorized
-    # backend (kernels, interner), and the parallel driver pulls in the
-    # executor pool — eager/dataflow-only users (every CLI experiment by
-    # default) should not pay to import either.
-    if name in (
-        "ColumnarScoreEngine",
-        "IncrementalColumnarScoreEngine",
-        "MeasurementSink",
-        "MutableColumnarSource",
-    ):
-        from . import columnar_scoring
-
-        return getattr(columnar_scoring, name)
+    # Lazy re-export: the parallel driver pulls in the executor pool, which
+    # single-chain users (every CLI experiment by default) should not pay to
+    # import.
     if name in ("ChainOutcome", "ParallelSynthesisResult", "run_chains"):
         from . import parallel
 

@@ -1,22 +1,18 @@
-"""MCMC scoring-backend comparison: dataflow vs vectorized vs incremental.
+"""MCMC synthesis throughput of the dataflow scoring engine.
 
-One function, :func:`mcmc_backend_comparison`, runs the same TbI + degree
-synthesis workload through every MCMC scoring backend over graphs of several
-sizes and reports steps/second — the quantity Figure 6 treats as *the*
-scalability metric — plus cross-backend agreement: under a fixed seed the
-dataflow and incremental chains take identical accept/reject decisions, so
-their final per-measurement L1 distances must agree to float precision.
+:func:`mcmc_throughput` runs the TbI + degree synthesis workload over graphs
+of several sizes and reports, per size, steps/second — the quantity Figure 6
+treats as *the* scalability metric — engine build seconds, operator state
+entries (the Figure 6 memory proxy), Σd² of the graph and the host's
+``cpu_count``.  Each size also records how far the incrementally maintained
+score ended from an independent eager re-evaluation of the measurement plans
+over the final synthetic graph.
 
 It backs the ``repro bench --mcmc`` CLI subcommand (which writes
 ``BENCH_mcmc.json``) and ``benchmarks/bench_figure6_scalability.py``'s
-throughput regression test (which asserts the incremental backend's ≥2×
-speedup over the full-pass vectorized backend at 10k edges).
-
-The timed window covers only :meth:`GraphSynthesizer.run`; graph generation,
-measurement and engine construction are reported separately.  The full-pass
-vectorized backend is timed over fewer steps (its per-step cost is constant),
-so agreement is asserted between the two incremental-asymptotics backends
-which run the full chain.
+throughput test.  The timed window covers only :meth:`GraphSynthesizer.run`;
+graph generation, measurement and engine construction are reported
+separately.
 """
 
 from __future__ import annotations
@@ -30,44 +26,60 @@ from ..analyses import (
     protect_graph,
     triangles_by_intersect_query,
 )
-from ..columnar.interning import global_interner
+from ..core.dataset import WeightedDataset
+from ..core.executor import EagerExecutor
 from ..core.queryable import PrivacySession
 from ..graph.generators import erdos_renyi, random_twin
-from .random_walks import EdgeSwapWalk
 from .synthesizer import GraphSynthesizer
 
 __all__ = [
-    "MCMC_BACKENDS",
-    "mcmc_backend_comparison",
+    "mcmc_throughput",
     "chain_scaling_comparison",
-    "format_mcmc_comparison",
+    "format_mcmc_throughput",
     "format_chain_scaling",
 ]
 
-#: Backends the comparison knows how to drive, in report order.
-MCMC_BACKENDS = ("dataflow", "vectorized", "incremental")
 
+def _eager_agreement(synthesizer: GraphSynthesizer) -> dict:
+    """Relative gaps between the engine's score and an eager re-score.
 
-def _run_backend(
-    measurements: list,
-    seed_graph,
-    backend: str,
-    steps: int,
-    seed: int,
-    pow_: float,
-    proposal_batch: int | None = None,
-) -> dict:
-    started = time.perf_counter()
-    synthesizer = GraphSynthesizer(
-        measurements, seed_graph, pow_=pow_, rng=seed, backend=backend
+    Evaluates every measurement plan with :class:`EagerExecutor` over the
+    synthesizer's current edge records and compares the L1 distances to the
+    released values, and the log score built from them, with what the
+    incremental tracker holds.  Both gaps are relative to ``max(1, |eager|)``.
+    """
+    records = WeightedDataset.from_records(
+        synthesizer.graph.to_edge_records(symmetric=True)
     )
-    build_seconds = time.perf_counter() - started
-    result = synthesizer.run(steps, proposal_batch=proposal_batch)
-    if hasattr(synthesizer.tracker, "resynchronize"):
-        synthesizer.tracker.resynchronize()
+    executor = EagerExecutor({synthesizer.source_name: records})
+    outputs = executor.evaluate_many([m.plan for m in synthesizer.measurements])
+    tracked = synthesizer.tracker.distances()
+    distance_gap = 0.0
+    weighted = 0.0
+    for index, (measurement, output) in enumerate(zip(synthesizer.measurements, outputs)):
+        distance = sum(
+            abs(output[record] - target)
+            for record, target in measurement.to_dict().items()
+        )
+        weighted += measurement.epsilon * distance
+        name = measurement.query_name or f"measurement_{index}"
+        distance_gap = max(
+            distance_gap, abs(tracked[name] - distance) / max(1.0, abs(distance))
+        )
+    log_score = -synthesizer.pow_ * weighted
     return {
-        "backend": backend,
-        "proposal_batch": proposal_batch,
+        "max_distance_rel_diff": distance_gap,
+        "log_score_rel_diff": abs(synthesizer.log_score - log_score)
+        / max(1.0, abs(log_score)),
+    }
+
+
+def _run_chain(measurements: list, seed_graph, steps: int, seed: int, pow_: float) -> dict:
+    started = time.perf_counter()
+    synthesizer = GraphSynthesizer(measurements, seed_graph, pow_=pow_, rng=seed)
+    build_seconds = time.perf_counter() - started
+    result = synthesizer.run(steps)
+    return {
         "steps": result.steps,
         "accepted": result.accepted,
         "build_seconds": build_seconds,
@@ -76,63 +88,12 @@ def _run_backend(
         "log_score": synthesizer.log_score,
         "distances": synthesizer.distances(),
         "state_entries": synthesizer.state_entry_count(),
-    }
-
-
-def _fused_scoring_micro(
-    measurements: list,
-    seed_graph,
-    seed: int,
-    pow_: float,
-    batch: int,
-    repeats: int = 12,
-) -> dict:
-    """Candidates/second of fused probe scoring vs sequential scoring.
-
-    This isolates the tentpole's fused-kernel-pass speedup from the MH
-    consumption loop: both paths score the same ``batch`` candidate swaps
-    against the same unchanged state, so the ratio is the pure amortisation
-    of per-evaluation overhead across the batch (the regime that matters for
-    low-acceptance chains, where whole batches are consumed per fused pass).
-    """
-    from .columnar_scoring import IncrementalColumnarScoreEngine
-    from ..core.dataset import WeightedDataset
-
-    engine = IncrementalColumnarScoreEngine(
-        measurements,
-        {
-            "edges": WeightedDataset.from_records(
-                seed_graph.to_edge_records(symmetric=True)
-            )
-        },
-        pow_=pow_,
-    )
-    walk = EdgeSwapWalk(seed_graph.copy(), rng=seed + 1)
-    candidates: list[dict] = []
-    while len(candidates) < batch:
-        proposal = walk.propose()
-        if proposal is not None:
-            candidates.append({"edges": proposal[0]})
-    timings = {}
-    for label, scorer in (
-        ("fused", engine.score_candidates),
-        ("sequential", engine._score_sequentially),
-    ):
-        scorer(candidates)  # warm-up
-        started = time.perf_counter()
-        for _ in range(repeats):
-            scorer(candidates)
-        timings[label] = (repeats * batch) / (time.perf_counter() - started)
-    return {
-        "batch": batch,
-        "fused_candidates_per_second": timings["fused"],
-        "sequential_candidates_per_second": timings["sequential"],
-        "fused_speedup": timings["fused"] / timings["sequential"],
+        "eager_agreement": _eager_agreement(synthesizer),
     }
 
 
 def _build_workload(edges: int, seed: int, epsilon: float):
-    """The comparison's standard workload: TbI + degrees over an ER graph."""
+    """The benchmark's standard workload: TbI + degrees over an ER graph."""
     nodes = max(4, edges // 2)
     graph = erdos_renyi(nodes, edges, rng=seed)
     session = PrivacySession(seed=seed)
@@ -154,8 +115,6 @@ def chain_scaling_comparison(
     seed: int = 0,
     pow_: float = 1.0,
     epsilon: float = 0.1,
-    backend: str = "incremental",
-    proposal_batch: int | None = 16,
     start_method: str | None = None,
 ) -> dict:
     """Aggregate steps/second of process-parallel chains vs a single chain.
@@ -178,16 +137,13 @@ def chain_scaling_comparison(
 
     _, measurements, seed_graph = _build_workload(edges, seed, epsilon)
 
-    baseline = _run_backend(
-        measurements, seed_graph, backend, steps, seed, pow_, proposal_batch
-    )
+    baseline = _run_chain(measurements, seed_graph, steps, seed, pow_)
     report: dict = {
         "workload": "TbI + node_degrees -> process-parallel edge-swap chains",
         "edges": edges,
         "steps": steps,
         "pow": pow_,
         "seed": seed,
-        "backend": backend,
         "cpu_count": os.cpu_count(),
         "start_method": start_method
         or os.environ.get("REPRO_SHARD_START_METHOD", "spawn"),
@@ -202,9 +158,7 @@ def chain_scaling_comparison(
             steps=steps,
             chains=chains,
             pow_=pow_,
-            backend=backend,
             rng=seed,
-            proposal_batch=proposal_batch,
             processes=processes,
             start_method=start_method,
         )
@@ -250,46 +204,29 @@ def chain_scaling_comparison(
     return report
 
 
-def mcmc_backend_comparison(
+def mcmc_throughput(
     edge_counts: Sequence[int] = (2000, 10000),
     steps: int = 2000,
-    vectorized_steps: int = 120,
     seed: int = 0,
     pow_: float = 1.0,
     epsilon: float = 0.1,
-    backends: Sequence[str] = MCMC_BACKENDS,
-    proposal_batch: int | None = 16,
     processes: int | None = None,
     start_method: str | None = None,
 ) -> dict:
-    """Time TbI+degree-driven MCMC on each backend across graph sizes.
+    """Time one TbI+degree-driven MCMC chain per graph size.
 
-    ``steps`` drives the dataflow/incremental chains; ``vectorized_steps``
-    caps the full-pass backend (per-step cost is size-dependent but
-    step-independent, so throughput is comparable).  ``proposal_batch`` sets
-    the batch size of the ``fused_scoring`` micro-entry — fused vs sequential
-    candidate scoring on the incremental backend, isolated from the MH
-    consumption loop; pass ``None`` to skip it.  ``pow_`` defaults to 1 so a
-    healthy fraction of proposals is accepted and the accepted-path
-    (state-mutating) cost dominates, matching real synthesis workloads.
-
-    Each size entry records the process-wide interner's vocabulary before
-    and after its runs: node identifiers dominate the dictionary, so growth
-    should track the number of *distinct* graphs measured, not the number of
-    backends or steps — a leak here means codes are being minted per-chain.
-    ``processes=P`` appends a ``chain_scaling`` section
-    (:func:`chain_scaling_comparison` at the largest size) comparing
+    ``pow_`` defaults to 1 so a healthy fraction of proposals is accepted and
+    the accepted-path (state-mutating) cost dominates, matching real
+    synthesis workloads.  ``processes=P`` appends a ``chain_scaling``
+    section (:func:`chain_scaling_comparison` at the largest size) comparing
     process-parallel chains at 1 and ``P`` workers.
     """
-    backends = list(backends)
-    unknown = [name for name in backends if name not in MCMC_BACKENDS]
-    if unknown:
-        raise ValueError(f"unknown backends: {unknown} (choose from {MCMC_BACKENDS})")
     report: dict = {
         "workload": "TbI + node_degrees -> edge-swap MCMC",
+        "engine": GraphSynthesizer.backend,
         "steps": steps,
-        "vectorized_steps": vectorized_steps,
         "pow": pow_,
+        "epsilon": epsilon,
         "seed": seed,
         "sizes": [],
     }
@@ -297,45 +234,13 @@ def mcmc_backend_comparison(
         if edges < 2:
             raise ValueError("the benchmark graph needs at least two edges")
         graph, measurements, seed_graph = _build_workload(edges, seed, epsilon)
-        vocabulary_before = len(global_interner())
         entry: dict = {
             "edges": edges,
             "nodes": graph.number_of_nodes(),
             "degree_sum_of_squares": int(graph.degree_sum_of_squares()),
-            "backends": {},
-            "speedups": {},
+            "cpu_count": os.cpu_count(),
         }
-        for backend in backends:
-            backend_steps = vectorized_steps if backend == "vectorized" else steps
-            entry["backends"][backend] = _run_backend(
-                measurements, seed_graph, backend, backend_steps, seed, pow_
-            )
-        if proposal_batch and "incremental" in backends:
-            entry["fused_scoring"] = _fused_scoring_micro(
-                measurements, seed_graph, seed, pow_, proposal_batch
-            )
-        flow = entry["backends"].get("dataflow")
-        incremental = entry["backends"].get("incremental")
-        if flow and incremental:
-            # Fixed seed + identical chains: the per-measurement distances of
-            # the two incremental-asymptotics backends must agree.
-            entry["agreement"] = {
-                "accepted_equal": flow["accepted"] == incremental["accepted"],
-                "max_distance_diff": max(
-                    abs(flow["distances"][name] - incremental["distances"][name])
-                    for name in flow["distances"]
-                ),
-            }
-        baseline = entry["backends"].get("vectorized", {}).get("steps_per_second")
-        if baseline:
-            for name, stats in entry["backends"].items():
-                entry["speedups"][name] = stats["steps_per_second"] / baseline
-        vocabulary_after = len(global_interner())
-        entry["interner"] = {
-            "atoms_before": vocabulary_before,
-            "atoms_after": vocabulary_after,
-            "growth": vocabulary_after - vocabulary_before,
-        }
+        entry.update(_run_chain(measurements, seed_graph, steps, seed, pow_))
         report["sizes"].append(entry)
     if processes:
         report["chain_scaling"] = chain_scaling_comparison(
@@ -345,63 +250,45 @@ def mcmc_backend_comparison(
             seed=seed,
             pow_=pow_,
             epsilon=epsilon,
-            proposal_batch=proposal_batch,
             start_method=start_method,
         )
     return report
 
 
-def format_mcmc_comparison(report: dict) -> str:
-    """Render a :func:`mcmc_backend_comparison` report as the CLI table."""
+def format_mcmc_throughput(report: dict) -> str:
+    """Render a :func:`mcmc_throughput` report as the CLI table."""
     from ..experiments import format_table
 
-    rows = []
-    for entry in report["sizes"]:
-        for name, stats in entry["backends"].items():
-            speedup = entry["speedups"].get(name)
-            rows.append(
-                (
-                    entry["edges"],
-                    name,
-                    stats["steps"],
-                    stats["accepted"],
-                    f"{stats['steps_per_second']:.1f}",
-                    f"{speedup:.2f}x" if speedup else "n/a",
-                    f"{stats['build_seconds']:.3f}",
-                )
-            )
+    rows = [
+        (
+            entry["edges"],
+            entry["degree_sum_of_squares"],
+            entry["steps"],
+            entry["accepted"],
+            f"{entry['steps_per_second']:.1f}",
+            f"{entry['build_seconds']:.3f}",
+            entry["state_entries"],
+            f"{entry['eager_agreement']['max_distance_rel_diff']:.1e}",
+        )
+        for entry in report["sizes"]
+    ]
     table = format_table(
         [
             "edges",
-            "backend",
+            "sum d^2",
             "steps",
             "accepted",
             "steps/s",
-            "vs vectorized",
             "build s",
+            "state entries",
+            "vs eager",
         ],
         rows,
-        title=f"MCMC scoring backends — {report['workload']} (pow={report['pow']})",
+        title=(
+            f"MCMC synthesis ({report['engine']} engine) — {report['workload']} "
+            f"(pow={report['pow']}, cpu_count={report['sizes'][0]['cpu_count']})"
+        ),
     )
-    footnotes = []
-    for entry in report["sizes"]:
-        fused = entry.get("fused_scoring")
-        if fused:
-            footnotes.append(
-                f"fused batch-{fused['batch']} scoring at {entry['edges']} edges: "
-                f"{fused['fused_candidates_per_second']:.0f} candidates/s vs "
-                f"{fused['sequential_candidates_per_second']:.0f} sequential "
-                f"({fused['fused_speedup']:.2f}x)"
-            )
-        vocabulary = entry.get("interner")
-        if vocabulary:
-            footnotes.append(
-                f"interner vocabulary at {entry['edges']} edges: "
-                f"{vocabulary['atoms_before']} -> {vocabulary['atoms_after']} atoms "
-                f"(+{vocabulary['growth']})"
-            )
-    if footnotes:
-        table += "\n" + "\n".join(footnotes)
     scaling = report.get("chain_scaling")
     if scaling:
         table += "\n\n" + format_chain_scaling(scaling)
@@ -427,7 +314,7 @@ def format_chain_scaling(report: dict) -> str:
         rows,
         title=(
             f"Process-parallel chains — {report['edges']} edges, "
-            f"backend={report['backend']}, cpu_count={report['cpu_count']}, "
+            f"cpu_count={report['cpu_count']}, "
             f"start_method={report['start_method']}"
         ),
     )

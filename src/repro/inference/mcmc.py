@@ -1,18 +1,12 @@
-"""Generic Metropolis–Hastings machinery (Section 4.2).
+"""Metropolis–Hastings over deltas against the dataflow engine (Section 4.2).
 
 The paper's pseudo-code is a dozen lines: propose a new state from a random
-walk, accept with probability ``min(1, Score(next)/Score(state))``.  This
-module provides that loop in two forms:
-
-* :class:`MetropolisHastings` — a small, state-copying implementation for
-  arbitrary states and scoring functions.  It is used for unit tests, for the
-  record-replacement walk over plain weighted datasets, and as executable
-  documentation of the algorithm.
-* :class:`IncrementalMetropolisHastings` — the delta-based variant the graph
-  synthesiser uses: proposals are expressed as invertible deltas against a
-  :class:`~repro.dataflow.engine.DataflowEngine`, so each step costs time
-  proportional to the amount of changed intermediate data rather than a full
-  query re-execution (Section 4.3).
+walk, accept with probability ``min(1, Score(next)/Score(state))``.
+:class:`IncrementalMetropolisHastings` runs that loop the way Section 4.3
+does: proposals are invertible deltas against a
+:class:`~repro.dataflow.engine.DataflowEngine`, so each step costs time
+proportional to the amount of changed intermediate data rather than a full
+query re-execution, and a rejected proposal is undone by pushing its negation.
 """
 
 from __future__ import annotations
@@ -20,7 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -31,25 +25,8 @@ from .scoring import ScoreTracker
 __all__ = [
     "MCMCStepRecord",
     "MCMCResult",
-    "BatchProposal",
-    "MetropolisHastings",
     "IncrementalMetropolisHastings",
 ]
-
-
-@dataclass
-class BatchProposal:
-    """One candidate move of a proposal batch.
-
-    ``revalidate`` (optional) reports whether the candidate is still
-    applicable after earlier candidates of the same batch were accepted — an
-    edge swap, for instance, requires both of its edges to still exist.
-    """
-
-    deltas: dict[str, Delta]
-    on_accept: Callable[[], None]
-    on_reject: Callable[[], None]
-    revalidate: Callable[[], bool] | None = None
 
 
 @dataclass
@@ -85,80 +62,6 @@ class MCMCResult:
         return self.steps / self.elapsed_seconds
 
 
-class MetropolisHastings:
-    """Plain Metropolis–Hastings over copies of an arbitrary state.
-
-    Parameters
-    ----------
-    initial_state:
-        Starting state (any object).
-    propose:
-        ``propose(state, rng) -> new_state``; must not mutate the input.
-    log_score:
-        ``log_score(state) -> float``; larger is better.  Using log scores
-        avoids overflow for the sharp distributions (large ``pow``) the paper
-        uses.
-    rng:
-        Seed or generator for the accept/reject coin flips.
-    """
-
-    def __init__(
-        self,
-        initial_state: Any,
-        propose: Callable[[Any, np.random.Generator], Any],
-        log_score: Callable[[Any], float],
-        rng: np.random.Generator | int | None = None,
-    ) -> None:
-        self.state = initial_state
-        self._propose = propose
-        self._log_score = log_score
-        self._rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        self.current_log_score = float(log_score(initial_state))
-        self.accepted = 0
-        self.steps = 0
-
-    def step(self) -> bool:
-        """Perform one proposal; returns True if it was accepted."""
-        candidate = self._propose(self.state, self._rng)
-        candidate_score = float(self._log_score(candidate))
-        self.steps += 1
-        if _accept(candidate_score - self.current_log_score, self._rng):
-            self.state = candidate
-            self.current_log_score = candidate_score
-            self.accepted += 1
-            return True
-        return False
-
-    def run(
-        self,
-        steps: int,
-        record_every: int | None = None,
-        metrics: dict[str, Callable[[Any], float]] | None = None,
-    ) -> MCMCResult:
-        """Run ``steps`` proposals, optionally recording a trajectory."""
-        trajectory: list[MCMCStepRecord] = []
-        started = time.perf_counter()
-        for index in range(1, steps + 1):
-            self.step()
-            if record_every and (index % record_every == 0 or index == steps):
-                trajectory.append(
-                    MCMCStepRecord(
-                        step=index,
-                        log_score=self.current_log_score,
-                        accepted_so_far=self.accepted,
-                        metrics=_evaluate_metrics(metrics, self.state),
-                    )
-                )
-        elapsed = time.perf_counter() - started
-        return MCMCResult(
-            steps=steps,
-            accepted=self.accepted,
-            log_score=self.current_log_score,
-            elapsed_seconds=elapsed,
-            trajectory=trajectory,
-        )
-
-
 class IncrementalMetropolisHastings:
     """Metropolis–Hastings whose proposals are deltas against a dataflow engine.
 
@@ -167,17 +70,6 @@ class IncrementalMetropolisHastings:
     applies the delta, the score tracker reports the new log score, and a
     rejected proposal is rolled back by pushing the negated delta — the same
     "apply, evaluate, maybe undo" strategy the paper's engine uses.
-
-    ``propose_batch`` (optional) enables batched proposal evaluation:
-    ``propose_batch(rng, k)`` returns ``k`` candidates (each a
-    :class:`BatchProposal` or ``None`` for an invalid sample) that
-    :meth:`step_batch` scores in one call — engines exposing
-    ``score_candidates`` (the incremental columnar backend) evaluate all of
-    them in a single fused kernel pass — and then consumes sequentially with
-    the ordinary Metropolis test.  Candidates are scored against the state the
-    batch started from; once one is accepted the remaining candidates are
-    *stale*, so each is revalidated and re-scored individually against the
-    updated state before its own accept/reject decision.
     """
 
     def __init__(
@@ -186,19 +78,14 @@ class IncrementalMetropolisHastings:
         tracker: ScoreTracker,
         propose: Callable[[np.random.Generator], tuple[dict[str, Delta], Callable[[], None], Callable[[], None]] | None],
         rng: np.random.Generator | int | None = None,
-        propose_batch: Callable[[np.random.Generator, int], list[BatchProposal | None]] | None = None,
     ) -> None:
         self.engine = engine
         self.tracker = tracker
         self._propose = propose
-        self._propose_batch = propose_batch
         self._rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
         self.current_log_score = tracker.log_score()
         self.accepted = 0
         self.steps = 0
-        #: Moving-average acceptance rate above which :meth:`run` prefers
-        #: sequential steps over fused batches (see ``run``'s batching note).
-        self.batch_acceptance_threshold = 0.2
 
     def step(self) -> bool:
         """Propose, apply, and accept or roll back one move."""
@@ -222,96 +109,16 @@ class IncrementalMetropolisHastings:
         on_reject()
         return False
 
-    # ------------------------------------------------------------------
-    # Batched proposal evaluation
-    # ------------------------------------------------------------------
-    def _score_candidates(self, deltas: list[dict[str, Delta]]) -> np.ndarray:
-        """Candidate log scores against the current state, state unchanged.
-
-        Engines that implement ``score_candidates`` (the incremental columnar
-        backend) answer in one fused pass; any other engine/tracker pair is
-        driven through the generic apply/score/rollback sequence.
-        """
-        scorer = getattr(self.engine, "score_candidates", None)
-        if scorer is not None:
-            return np.asarray(scorer(deltas), dtype=np.float64)
-        scores = np.empty(len(deltas), dtype=np.float64)
-        for index, candidate in enumerate(deltas):
-            for source, delta in candidate.items():
-                self.engine.push(source, delta)
-            scores[index] = self.tracker.log_score()
-            for source, delta in candidate.items():
-                self.engine.push(source, negate(delta))
-        return scores
-
-    def step_batch(self, count: int) -> int:
-        """Evaluate one batch of ``count`` proposals; returns accepts.
-
-        Candidates are scored together against the entry state and consumed in
-        order with the usual Metropolis rule.  After an acceptance the
-        remaining scores are stale: survivors are revalidated (a candidate may
-        no longer be a legal move) and the still-legal ones are *re-scored in
-        one fused pass* against the updated state, repeating until the batch
-        is exhausted.  The chain law therefore matches the sequential sampler
-        — every decision uses a score taken from the state it is applied to —
-        at a cost of one fused evaluation per in-batch acceptance.
-        """
-        if self._propose_batch is None:
-            raise ValueError("no propose_batch generator was configured")
-        candidates = self._propose_batch(self._rng, count)
-        accepted_before = self.accepted
-        pending: list[BatchProposal] = []
-        for candidate in candidates:
-            if candidate is None:
-                # The walk had nothing valid to propose; a rejected step.
-                self.steps += 1
-            else:
-                pending.append(candidate)
-        while pending:
-            scores = self._score_candidates(
-                [candidate.deltas for candidate in pending]
-            )
-            accepted_at = None
-            for position, (candidate, score) in enumerate(zip(pending, scores)):
-                self.steps += 1
-                if _accept(float(score) - self.current_log_score, self._rng):
-                    for source, delta in candidate.deltas.items():
-                        self.engine.push(source, delta)
-                    self.current_log_score = float(score)
-                    self.accepted += 1
-                    candidate.on_accept()
-                    accepted_at = position
-                    break
-                candidate.on_reject()
-            if accepted_at is None:
-                break
-            survivors: list[BatchProposal] = []
-            for candidate in pending[accepted_at + 1 :]:
-                if candidate.revalidate is not None and not candidate.revalidate():
-                    # No longer a legal move from the current state: a
-                    # rejected step, with the protocol's pairing kept — every
-                    # consumed candidate sees exactly one callback.
-                    self.steps += 1
-                    candidate.on_reject()
-                    continue
-                survivors.append(candidate)
-            pending = survivors
-        return self.accepted - accepted_before
-
     def run(
         self,
         steps: int,
         record_every: int | None = None,
         metrics: dict[str, Callable[[], float]] | None = None,
-        proposal_batch: int | None = None,
     ) -> MCMCResult:
         """Run ``steps`` proposals, optionally recording a trajectory.
 
         ``metrics`` callables take no arguments: they are expected to close
         over whatever public state (e.g. the synthetic graph) they report on.
-        ``proposal_batch=k`` (with a configured batch generator) evaluates
-        proposals in batches of ``k``; trajectory records then land on batch
-        boundaries.
         """
         trajectory: list[MCMCStepRecord] = []
         started = time.perf_counter()
@@ -327,37 +134,10 @@ class IncrementalMetropolisHastings:
                 )
             )
 
-        if proposal_batch and proposal_batch > 1 and self._propose_batch is not None:
-            # Fused batch scoring amortises per-evaluation overhead across K
-            # candidates, but every in-batch acceptance staleness-forces a
-            # re-scoring pass of the survivors — so batching only pays off
-            # while the acceptance rate is low (sharp posteriors, converged
-            # chains).  Track a moving acceptance estimate and fall back to
-            # sequential steps for accept-heavy stretches.
-            done = 0
-            recorded_upto = 0
-            acceptance = 1.0  # assume hot until the chain proves otherwise
-            while done < steps:
-                chunk = min(proposal_batch, steps - done)
-                accepted_before = self.accepted
-                if acceptance > self.batch_acceptance_threshold:
-                    for _ in range(chunk):
-                        self.step()
-                else:
-                    self.step_batch(chunk)
-                chunk_rate = (self.accepted - accepted_before) / chunk
-                acceptance = 0.7 * acceptance + 0.3 * chunk_rate
-                done += chunk
-                if record_every and (
-                    done - recorded_upto >= record_every or done == steps
-                ):
-                    record(done)
-                    recorded_upto = done
-        else:
-            for index in range(1, steps + 1):
-                self.step()
-                if record_every and (index % record_every == 0 or index == steps):
-                    record(index)
+        for index in range(1, steps + 1):
+            self.step()
+            if record_every and (index % record_every == 0 or index == steps):
+                record(index)
         elapsed = time.perf_counter() - started
         return MCMCResult(
             steps=steps,
@@ -371,24 +151,17 @@ class IncrementalMetropolisHastings:
 def _accept(log_ratio: float, rng: np.random.Generator) -> bool:
     """The Metropolis acceptance rule in log space.
 
-    One uniform is drawn per decision, *unconditionally*: scoring backends can
-    disagree on a degenerate ratio by float dust (``0.0`` vs ``-1e-13``), and
-    a draw taken only on the downhill branch would then desynchronize the
-    shared RNG stream — after which the chains propose different moves and
-    the cross-backend decision-equality guarantee silently dies.  With the
-    unconditional draw the stream position is identical on every backend, and
-    a dust-sized ratio difference flips a decision only with probability of
-    the same dust-sized order.
+    One uniform is drawn per decision, *unconditionally*: the incremental
+    score and an independent re-score (the eager reference the tests check
+    the engine against) can disagree on a degenerate ratio by float dust
+    (``0.0`` vs ``-1e-13``), and a draw taken only on the downhill branch
+    would then desynchronize the shared RNG stream — after which the two
+    chains propose different moves and the seeded decision-equality check
+    silently dies.  With the unconditional draw the stream position does not
+    depend on the score, and a dust-sized ratio difference flips a decision
+    only with probability of the same dust-sized order.
     """
     draw = float(rng.random())
     if log_ratio >= 0:
         return True
     return draw < math.exp(max(log_ratio, -745.0))
-
-
-def _evaluate_metrics(
-    metrics: dict[str, Callable[[Any], float]] | None, state: Any
-) -> dict[str, float]:
-    if not metrics:
-        return {}
-    return {name: float(fn(state)) for name, fn in metrics.items()}

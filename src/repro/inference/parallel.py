@@ -9,10 +9,11 @@ provides that driver:
 * every chain gets an independent, reproducible RNG stream spawned from one
   :class:`numpy.random.SeedSequence` (so ``chains=4, rng=0`` is deterministic
   and no two chains share a stream);
-* chains run through :class:`concurrent.futures.ThreadPoolExecutor`.  The
-  hot loops hold the GIL for their Python portions, but the columnar
-  backends spend their time in NumPy kernels (which release it), and the
-  process-wide interner is thread-safe, so chains genuinely overlap;
+* chains run through :class:`concurrent.futures.ThreadPoolExecutor` by
+  default.  The dataflow engine's proposal, propagation and scoring loops
+  are pure Python that holds the GIL, so thread chains serialize on one
+  core; ``processes=N`` moves whole chains into worker processes
+  (:mod:`repro.shard.chains`), which is how chains use several cores;
 * the result keeps every chain's trajectory and exposes the best chain — the
   quantity :meth:`~repro.inference.synthesizer.GraphSynthesizer.run` adopts
   when called with ``chains=N``.
@@ -107,12 +108,10 @@ def run_chains(
     steps: int,
     chains: int,
     pow_: float | None = None,
-    backend: str = "incremental",
     rng: np.random.Generator | int | None = None,
     source_name: str = "edges",
     record_every: int | None = None,
     metrics: dict[str, Callable[[], float]] | None = None,
-    proposal_batch: int | None = None,
     max_workers: int | None = None,
     processes: int | None = None,
     start_method: str | None = None,
@@ -121,10 +120,8 @@ def run_chains(
 
     Each chain builds its own :class:`~repro.inference.synthesizer
     .GraphSynthesizer` (own engine, own copy of the seed graph) with a
-    spawned RNG stream and runs ``steps`` proposals — batched by
-    ``proposal_batch`` where the backend supports it.  Construction happens
-    inside the worker threads too, so the expensive engine initialisation of
-    N chains also overlaps.
+    spawned RNG stream and runs ``steps`` proposals.  Construction happens
+    inside the worker threads too.
 
     ``processes=N`` moves whole chains into N worker *processes* (a
     :class:`~repro.shard.pool.ProcessPool`) instead of threads — the GIL
@@ -159,11 +156,9 @@ def run_chains(
             steps=steps,
             chains=chains,
             pow_=pow_,
-            backend=backend,
             generators=generators,
             source_name=source_name,
             record_every=record_every,
-            proposal_batch=proposal_batch,
             processes=processes,
             start_method=start_method,
         )
@@ -175,14 +170,8 @@ def run_chains(
             pow_=pow_,
             rng=generators[index],
             source_name=source_name,
-            backend=backend,
         )
-        result = synthesizer.run(
-            steps,
-            record_every=record_every,
-            metrics=metrics,
-            proposal_batch=proposal_batch,
-        )
+        result = synthesizer.run(steps, record_every=record_every, metrics=metrics)
         return ChainOutcome(
             index=index,
             result=result,
@@ -207,11 +196,9 @@ def _run_chains_processes(
     steps: int,
     chains: int,
     pow_: float,
-    backend: str,
     generators: list[np.random.Generator],
     source_name: str,
     record_every: int | None,
-    proposal_batch: int | None,
     processes: int,
     start_method: str | None,
 ) -> ParallelSynthesisResult:
@@ -230,10 +217,8 @@ def _run_chains_processes(
                 "seed_graph": seed_graph,
                 "steps": steps,
                 "pow_": pow_,
-                "backend": backend,
                 "source_name": source_name,
                 "record_every": record_every,
-                "proposal_batch": proposal_batch,
                 "rng": generators[index],
             },
         )

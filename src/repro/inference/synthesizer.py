@@ -43,26 +43,20 @@ DEFAULT_POW = 10_000.0
 class GraphSynthesizer:
     """Fit a synthetic graph to released wPINQ measurements with MCMC.
 
-    ``backend`` selects how proposals are re-scored:
-
-    * ``"dataflow"`` (default) — the incremental engine of Section 4.3:
-      ``Q(A)`` stays materialised per operator and each step costs
-      O(changed intermediate data), all in dict-based Python.
-    * ``"vectorized"`` — the full-pass columnar path of
-      :mod:`repro.inference.columnar_scoring`: the synthetic edge set lives
-      as an incrementally updated weight vector and each score re-runs the
-      measurement plans through the NumPy kernels (no operator state, lower
-      constants, full-pass asymptotics).
-    * ``"incremental"`` — incremental *columnar* scoring
-      (:class:`~repro.inference.columnar_scoring
-      .IncrementalColumnarScoreEngine`): Section 4.3 asymptotics with array
-      kernels, per-measurement cached bin vectors, and fused batched proposal
-      evaluation (``run(..., proposal_batch=k)``).  The fastest backend on
-      non-tiny graphs.
+    Proposals are scored by the incremental engine of Section 4.3: the
+    measurement plans compile into one warm
+    :class:`~repro.dataflow.engine.DataflowEngine`, ``Q(A)`` stays
+    materialised per operator, and each step costs O(changed intermediate
+    data).  :attr:`engine`, :attr:`tracker` and :attr:`sampler` expose the
+    engine, the :class:`~repro.inference.scoring.ScoreTracker` and the
+    :class:`~repro.inference.mcmc.IncrementalMetropolisHastings` loop.
 
     ``run(chains=N)`` hands the work to the parallel multi-chain driver
     (:mod:`repro.inference.parallel`) and adopts the best-scoring chain.
     """
+
+    #: The scoring engine that runs; fixed, recorded by benchmark reports.
+    backend = "dataflow"
 
     def __init__(
         self,
@@ -71,60 +65,35 @@ class GraphSynthesizer:
         pow_: float = DEFAULT_POW,
         rng: np.random.Generator | int | None = None,
         source_name: str = "edges",
-        backend: str = "dataflow",
     ) -> None:
         self.measurements = list(measurements)
         if not self.measurements:
             raise ValueError("at least one measurement is required")
         self.graph = seed_graph.copy()
         self.source_name = source_name
-        self.backend = backend
         self.pow_ = float(pow_)
         self._rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
 
         initial_records = WeightedDataset.from_records(
             self.graph.to_edge_records(symmetric=True)
         )
-        if backend == "dataflow":
-            # The synthetic graph is public, so the executor's environment is
-            # the seed edge set; compiling all measurement plans into one warm
-            # engine shares every common sub-plan (and its operator state)
-            # between them.  Kept private: once MCMC starts pushing deltas,
-            # only `engine` reflects the current synthetic graph — a later
-            # compile() through the executor would rebuild from seed records.
-            self._executor = DataflowExecutor({source_name: initial_records})
-            self.engine = self._executor.compile(
-                [measurement.plan for measurement in self.measurements]
-            )
-            self.tracker = ScoreTracker(self.engine, self.measurements, pow_=pow_)
-        elif backend == "vectorized":
-            from .columnar_scoring import ColumnarScoreEngine
-
-            # One object plays engine (weight-vector deltas) and tracker
-            # (vectorized re-scoring) on the columnar path.
-            self.engine = ColumnarScoreEngine(
-                self.measurements, {source_name: initial_records}, pow_=pow_
-            )
-            self.tracker = self.engine
-        elif backend == "incremental":
-            from .columnar_scoring import IncrementalColumnarScoreEngine
-
-            self.engine = IncrementalColumnarScoreEngine(
-                self.measurements, {source_name: initial_records}, pow_=pow_
-            )
-            self.tracker = self.engine
-        else:
-            raise ValueError(
-                f"unknown synthesis backend {backend!r}; "
-                f"expected 'dataflow', 'vectorized' or 'incremental'"
-            )
+        # The synthetic graph is public, so the executor's environment is the
+        # seed edge set; compiling all measurement plans into one warm engine
+        # shares every common sub-plan (and its operator state) between them.
+        # Kept private: once MCMC starts pushing deltas, only `engine`
+        # reflects the current synthetic graph — a later compile() through
+        # the executor would rebuild from seed records.
+        self._executor = DataflowExecutor({source_name: initial_records})
+        self.engine = self._executor.compile(
+            [measurement.plan for measurement in self.measurements]
+        )
+        self.tracker = ScoreTracker(self.engine, self.measurements, pow_=pow_)
         self.walk = EdgeSwapWalk(self.graph, rng=self._rng)
         self.sampler = IncrementalMetropolisHastings(
             engine=self.engine,
             tracker=self.tracker,
             propose=self.walk.proposal_for_engine(source_name),
             rng=self._rng,
-            propose_batch=self.walk.batch_proposals_for_engine(source_name),
         )
         #: Per-chain results of the last ``run(chains=N)`` call (None before).
         self.last_parallel_result = None
@@ -161,7 +130,6 @@ class GraphSynthesizer:
         steps: int,
         record_every: int | None = None,
         metrics: dict[str, Callable[[], float]] | None = None,
-        proposal_batch: int | None = None,
         chains: int = 1,
         max_workers: int | None = None,
         processes: int | None = None,
@@ -172,9 +140,7 @@ class GraphSynthesizer:
         and assortativity — the two quantities Figures 3 and 4 plot — plus any
         additional metrics supplied by the caller.
 
-        ``proposal_batch=k`` scores proposals in batches of ``k`` (one fused
-        kernel pass on the incremental backend).  ``chains=N`` runs N
-        independent chains from the current graph through the parallel driver
+        ``chains=N`` runs N independent chains from the current graph through the parallel driver
         (:func:`repro.inference.parallel.run_chains`), adopts the
         best-scoring chain into this synthesizer, stores the full per-chain
         report on :attr:`last_parallel_result`, and returns the best chain's
@@ -191,12 +157,10 @@ class GraphSynthesizer:
                 steps,
                 chains=chains,
                 pow_=self.pow_,
-                backend=self.backend,
                 rng=self._rng,
                 source_name=self.source_name,
                 record_every=record_every,
                 metrics=metrics,
-                proposal_batch=proposal_batch,
                 max_workers=max_workers,
                 processes=processes,
             )
@@ -215,7 +179,6 @@ class GraphSynthesizer:
                         pow_=self.pow_,
                         rng=self._rng,
                         source_name=self.source_name,
-                        backend=self.backend,
                     )
                 )
             return best.result
@@ -225,12 +188,7 @@ class GraphSynthesizer:
         }
         if metrics:
             combined.update(metrics)
-        return self.sampler.run(
-            steps,
-            record_every=record_every,
-            metrics=combined,
-            proposal_batch=proposal_batch,
-        )
+        return self.sampler.run(steps, record_every=record_every, metrics=combined)
 
     def _adopt(self, other: "GraphSynthesizer") -> None:
         """Take over another synthesizer's state (the winning chain's)."""
@@ -239,8 +197,7 @@ class GraphSynthesizer:
         self.engine = other.engine
         self.tracker = other.tracker
         self.sampler = other.sampler
-        if hasattr(other, "_executor"):
-            self._executor = other._executor
+        self._executor = other._executor
 
 
 @dataclass
@@ -274,8 +231,6 @@ def synthesize_graph(
     pow_: float = DEFAULT_POW,
     record_every: int | None = None,
     rng: np.random.Generator | int | None = None,
-    backend: str = "dataflow",
-    proposal_batch: int | None = None,
     chains: int = 1,
 ) -> SynthesisOutcome:
     """The full workflow of Section 5.1 in one call.
@@ -296,14 +251,9 @@ def synthesize_graph(
         Score-sharpening exponent (the paper uses 10,000).
     record_every:
         Record the trajectory every this-many steps (None = only final state).
-    backend:
-        How MCMC proposals are re-scored: ``"dataflow"`` (incremental
-        engine), ``"vectorized"`` (full-pass columnar kernels) or
-        ``"incremental"`` (incremental columnar scoring); see
-        :class:`GraphSynthesizer`.
-    proposal_batch, chains:
-        Batched proposal evaluation and parallel multi-chain synthesis,
-        forwarded to :meth:`GraphSynthesizer.run`.
+    chains:
+        Parallel multi-chain synthesis, forwarded to
+        :meth:`GraphSynthesizer.run`.
     """
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
 
@@ -319,15 +269,8 @@ def synthesize_graph(
         )
     )
 
-    synthesizer = GraphSynthesizer(
-        fit_measurements, seed_graph, pow_=pow_, rng=rng, backend=backend
-    )
-    result = synthesizer.run(
-        mcmc_steps,
-        record_every=record_every,
-        proposal_batch=proposal_batch,
-        chains=chains,
-    )
+    synthesizer = GraphSynthesizer(fit_measurements, seed_graph, pow_=pow_, rng=rng)
+    result = synthesizer.run(mcmc_steps, record_every=record_every, chains=chains)
 
     privacy_cost = {
         name: session.spent_budget(name) - spent_before.get(name, 0.0)

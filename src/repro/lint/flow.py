@@ -59,8 +59,6 @@ _SOURCE_METHODS = frozenset(
         "records",
         "to_dict",
         "weight",
-        "weights_for",
-        "weights_for_codes",
         "record_codes",
         "total_weight",
         "distance",

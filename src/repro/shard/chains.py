@@ -1,9 +1,9 @@
 """Process-parallel MCMC chains: the worker-side task and its wire format.
 
-Thread chains (:mod:`repro.inference.parallel`) overlap only as far as
-NumPy releases the GIL; the proposal loop's Python portion serialises.
-Process chains move the *entire* chain — synthesizer construction, scoring
-engine, proposal loop — into a pool worker, so N chains use N cores.
+Thread chains (:mod:`repro.inference.parallel`) serialize under the GIL:
+the dataflow engine's proposal, propagation and scoring loops are pure
+Python.  Process chains move the *entire* chain — synthesizer construction,
+scoring engine, proposal loop — into a pool worker, so N chains use N cores.
 
 Bit-identical to thread chains by construction:
 
@@ -11,8 +11,8 @@ Bit-identical to thread chains by construction:
   thread path would have used (``spawn_generators`` output pickles with its
   full state), so every proposal and acceptance draw matches;
 * measurements travel as *released values* via
-  :func:`~repro.shard.plan.encode_measurement` — the fixed targets every
-  scoring backend reads — so worker-side scores equal coordinator-side
+  :func:`~repro.shard.plan.encode_measurement` — the fixed targets the
+  score tracker reads — so worker-side scores equal coordinator-side
   scores exactly;
 * the seed graph is a plain picklable adjacency structure.
 
@@ -45,10 +45,8 @@ def run_chain(
     seed_graph: Graph,
     steps: int,
     pow_: float,
-    backend: str,
     source_name: str,
     record_every: int | None,
-    proposal_batch: int | None,
     rng: np.random.Generator,
 ) -> dict:
     """Run one full synthesis chain inside a pool worker.
@@ -67,13 +65,8 @@ def run_chain(
         pow_=pow_,
         rng=rng,
         source_name=source_name,
-        backend=backend,
     )
-    result = synthesizer.run(
-        steps,
-        record_every=record_every,
-        proposal_batch=proposal_batch,
-    )
+    result = synthesizer.run(steps, record_every=record_every)
     return {
         "index": index,
         "result": result,

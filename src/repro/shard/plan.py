@@ -26,7 +26,7 @@ pickles).  This module defines the wire form the workers rebuild from:
   boundary: the released values, ε and the portable plan.  The worker
   rehydrates with :meth:`NoisyCountResult.from_released`, so the protected
   data is never consulted in a worker and the fixed released targets —
-  what every MCMC scoring backend reads — are bit-identical to the
+  what the MCMC score tracker reads — are bit-identical to the
   coordinator's.
 
 The portable form doubles as the structural identity the ROADMAP's
@@ -203,9 +203,9 @@ def encode_measurement(measurement: NoisyCountResult) -> PortableMeasurement:
     """Encode a released measurement for a worker.
 
     Only the values released *so far* travel — which is exactly what the
-    MCMC scoring backends read (their targets are fixed at construction).
+    MCMC score tracker reads (its targets are fixed at construction).
     A worker-side rehydrated result drawing fresh noise for never-released
-    records would diverge from the coordinator, so the scorers' fixed-target
+    records would diverge from the coordinator, so the tracker's fixed-target
     contract is what makes process chains bit-identical to thread chains.
     """
     plan = measurement.plan

@@ -128,21 +128,3 @@ class TestColumnarDataset:
     def test_misaligned_pairs_rejected(self):
         with pytest.raises(ValueError):
             ColumnarDataset.from_pairs(["a"], [1.0, 2.0])
-
-    def test_weights_for_vectorized_lookup(self):
-        data = WeightedDataset({(1, 2): 1.5, (2, 3): -0.5, (3, 4): 2.0})
-        columnar = ColumnarDataset.from_weighted(data)
-        probes = [(2, 3), (9, 9), (1, 2), "not-a-tuple", (1, 2, 3)]
-        looked_up = columnar.weights_for(probes)
-        assert looked_up.tolist() == pytest.approx([-0.5, 0.0, 1.5, 0.0, 0.0])
-        # Cross-type-equal probes match, exactly like dict lookups —
-        # including tuple subclasses, which ==-equal plain-tuple rows.
-        assert columnar.weights_for([(1.0, 2)]).tolist() == pytest.approx([1.5])
-        import collections
-
-        Edge = collections.namedtuple("Edge", "src dst")
-        assert columnar.weights_for([Edge(1, 2)]).tolist() == pytest.approx([1.5])
-        # Opaque layout and empty datasets behave too.
-        opaque = ColumnarDataset.from_weighted(WeightedDataset({"a": 2.0}))
-        assert opaque.weights_for(["a", "b"]).tolist() == pytest.approx([2.0, 0.0])
-        assert ColumnarDataset.empty().weights_for(["a"]).tolist() == [0.0]

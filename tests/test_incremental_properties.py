@@ -1,16 +1,19 @@
-"""Property-based equivalence of the three MCMC scoring backends.
+"""Property tests of the dataflow scoring engine against an eager reference.
 
-Satellite guarantee of the incremental-columnar PR: over random edge-swap
-delta sequences (and adversarial non-swap deltas that break the join's
-norm-preserving fast path), incremental columnar scoring matches both the
-full-pass columnar and the dataflow backends — per-measurement distances,
-log scores, and the accept/reject decisions of a seeded synthesis run.
+Over random applied edge-swap sequences, and over arbitrary non-swap deltas
+that take the join's slow path, the incrementally maintained distances and
+log score of :class:`ScoreTracker` must equal a full :class:`EagerExecutor`
+evaluation of the measurement plans over the current edge records.  A seeded
+:class:`GraphSynthesizer` must also take the same accept/reject decisions as a
+small chain that re-scores every candidate eagerly and consumes the same RNG
+stream.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analyses import (
@@ -19,16 +22,16 @@ from repro.analyses import (
     triangles_by_intersect_query,
 )
 from repro.core import PrivacySession, WeightedDataset
-from repro.core.executor import DataflowExecutor
+from repro.core.executor import DataflowExecutor, EagerExecutor
 from repro.graph.generators import erdos_renyi
 from repro.inference import GraphSynthesizer
-from repro.inference.columnar_scoring import (
-    ColumnarScoreEngine,
-    IncrementalColumnarScoreEngine,
-)
 from repro.inference.random_walks import EdgeSwapWalk
 from repro.inference.scoring import ScoreTracker
 from repro.inference.seed import seed_graph_from_edges
+
+POW = 25.0
+#: Largest allowed gap to the eager reference, relative to max(1, |eager|).
+RELATIVE = 1e-9
 
 
 def build_problem(graph_seed: int):
@@ -47,105 +50,153 @@ def build_problem(graph_seed: int):
     return measurements, seed_graph
 
 
-def initial_edges(seed_graph) -> WeightedDataset:
-    return WeightedDataset.from_records(seed_graph.to_edge_records(symmetric=True))
+def edge_weights(graph) -> dict:
+    return WeightedDataset.from_records(graph.to_edge_records(symmetric=True)).to_dict()
+
+
+def eager_score(measurements, weights: dict) -> tuple[float, dict[str, float]]:
+    """Log score and per-measurement L1 distances, evaluated from scratch."""
+    executor = EagerExecutor({"edges": WeightedDataset(weights)})
+    outputs = executor.evaluate_many([m.plan for m in measurements])
+    distances = {
+        m.query_name: sum(abs(output[record] - target) for record, target in m.to_dict().items())
+        for m, output in zip(measurements, outputs)
+    }
+    weighted = sum(m.epsilon * distances[m.query_name] for m in measurements)
+    return -POW * weighted, distances
+
+
+def assert_close(actual: float, expected: float) -> None:
+    assert abs(actual - expected) <= RELATIVE * max(1.0, abs(expected)), (actual, expected)
+
+
+def assert_matches_eager(tracker: ScoreTracker, measurements, weights: dict) -> None:
+    log_score, distances = eager_score(measurements, weights)
+    tracked = tracker.distances()
+    for name, distance in distances.items():
+        assert_close(tracked[name], distance)
+    assert_close(tracker.log_score(), log_score)
+
+
+def compile_tracker(measurements, seed_graph):
+    executor = DataflowExecutor({"edges": WeightedDataset(edge_weights(seed_graph))})
+    engine = executor.compile([m.plan for m in measurements])
+    return engine, ScoreTracker(engine, measurements, pow_=POW)
+
+
+def add(weights: dict, delta: dict) -> dict:
+    merged = dict(weights)
+    for record, change in delta.items():
+        merged[record] = merged.get(record, 0.0) + change
+    return merged
 
 
 @settings(max_examples=8, deadline=None)
 @given(graph_seed=st.integers(0, 50), walk_seed=st.integers(0, 1000))
 def test_edge_swap_sequences_agree_across_backends(graph_seed, walk_seed):
-    """Random applied edge-swap sequences: all three trackers stay equal."""
+    """Random applied edge-swap sequences: dataflow tracks the eager score."""
     measurements, seed_graph = build_problem(graph_seed)
-    incremental = IncrementalColumnarScoreEngine(
-        measurements, {"edges": initial_edges(seed_graph)}, pow_=25.0
-    )
-    full = ColumnarScoreEngine(
-        measurements, {"edges": initial_edges(seed_graph)}, pow_=25.0
-    )
-    executor = DataflowExecutor({"edges": initial_edges(seed_graph)})
-    engine = executor.compile([m.plan for m in measurements])
-    tracker = ScoreTracker(engine, measurements, pow_=25.0)
+    engine, tracker = compile_tracker(measurements, seed_graph)
+    weights = edge_weights(seed_graph)
+    assert_matches_eager(tracker, measurements, weights)
 
     walk = EdgeSwapWalk(seed_graph.copy(), rng=walk_seed)
+    generate = walk.proposal_for_engine("edges")
     applied = 0
     attempts = 0
     while applied < 20 and attempts < 400:
         attempts += 1
-        proposal = walk.propose()
+        proposal = generate(None)
         if proposal is None:
             continue
-        delta, a, b, c, d = proposal
-        for target in (incremental, full):
-            target.push("edges", delta)
-        engine.push("edges", delta)
-        walk.graph.swap_edges(a, b, c, d)
-        walk._replace_edge((a, b), (a, d))
-        walk._replace_edge((c, d), (c, b))
+        deltas, on_accept, _ = proposal
+        engine.push("edges", deltas["edges"])
+        on_accept()
+        weights = add(weights, deltas["edges"])
         applied += 1
-    flow_distances = tracker.distances()
-    full_distances = full.distances()
-    for name, distance in incremental.distances().items():
-        assert distance == pytest.approx(full_distances[name], abs=1e-7)
-        assert distance == pytest.approx(flow_distances[name], abs=1e-7)
-    assert incremental.log_score() == pytest.approx(tracker.log_score(), abs=1e-6)
+        assert_matches_eager(tracker, measurements, weights)
 
 
 @settings(max_examples=6, deadline=None)
 @given(
     graph_seed=st.integers(0, 50),
     deltas=st.lists(
-        st.lists(
-            st.tuples(
-                st.integers(0, 30),
-                st.integers(0, 30),
-                st.floats(-1.5, 1.5, allow_nan=False, width=32),
+        st.tuples(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 30),
+                    st.integers(0, 30),
+                    st.floats(-1.5, 1.5, allow_nan=False, width=32),
+                ),
+                max_size=4,
             ),
-            min_size=1,
-            max_size=4,
+            st.lists(st.integers(0, 10_000), max_size=2),
         ),
         min_size=1,
         max_size=6,
     ),
 )
 def test_arbitrary_delta_sequences_agree(graph_seed, deltas):
-    """Non-degree-preserving deltas (join slow path) stay equivalent too."""
+    """Non-degree-preserving deltas (the join's slow path) stay exact too.
+
+    Each delta adds arbitrary weight changes and deletes whole present
+    records, so join outputs both change scale and vanish.
+    """
     measurements, seed_graph = build_problem(graph_seed)
-    incremental = IncrementalColumnarScoreEngine(
-        measurements, {"edges": initial_edges(seed_graph)}
-    )
-    full = ColumnarScoreEngine(measurements, {"edges": initial_edges(seed_graph)})
-    for raw in deltas:
-        delta = {}
-        for a, b, change in raw:
+    engine, tracker = compile_tracker(measurements, seed_graph)
+    weights = edge_weights(seed_graph)
+    for changes, removals in deltas:
+        delta: dict = {}
+        for a, b, change in changes:
             delta[(a, b)] = delta.get((a, b), 0.0) + change
-        incremental.push("edges", delta)
-        full.push("edges", delta)
-        assert incremental.log_score() == pytest.approx(full.log_score(), abs=1e-6)
-    full_distances = full.distances()
-    for name, distance in incremental.distances().items():
-        assert distance == pytest.approx(full_distances[name], abs=1e-7)
+        present = sorted(record for record, weight in weights.items() if weight)
+        for pick in removals:
+            record = present[pick % len(present)]
+            delta[record] = delta.get(record, 0.0) - weights[record]
+        engine.push("edges", delta)
+        weights = add(weights, delta)
+        assert_matches_eager(tracker, measurements, weights)
+
+
+def eager_chain(measurements, seed_graph, chain_seed: int, steps: int):
+    """Metropolis–Hastings that re-scores every candidate eagerly.
+
+    Draws from one generator in the synthesizer's order: the walk's proposal
+    draws, then one uniform per valid proposal for the acceptance test.
+    """
+    rng = np.random.default_rng(chain_seed)
+    walk = EdgeSwapWalk(seed_graph.copy(), rng=rng)
+    generate = walk.proposal_for_engine("edges")
+    weights = edge_weights(seed_graph)
+    current, _ = eager_score(measurements, weights)
+    accepted = 0
+    for _ in range(steps):
+        proposal = generate(rng)
+        if proposal is None:
+            continue
+        deltas, on_accept, _ = proposal
+        candidate_weights = add(weights, deltas["edges"])
+        candidate, _ = eager_score(measurements, candidate_weights)
+        draw = float(rng.random())
+        log_ratio = candidate - current
+        if log_ratio >= 0 or draw < math.exp(max(log_ratio, -745.0)):
+            on_accept()
+            weights = candidate_weights
+            current = candidate
+            accepted += 1
+    return accepted, current, walk.graph
 
 
 @settings(max_examples=4, deadline=None)
 @given(graph_seed=st.integers(0, 30), chain_seed=st.integers(0, 500))
 def test_seeded_synthesis_decisions_match(graph_seed, chain_seed):
-    """Same seed, same walk: all backends accept the same proposals."""
+    """Same seed, same walk: the synthesizer decides as the eager chain does."""
     measurements, seed_graph = build_problem(graph_seed)
-    outcomes = {}
-    for backend in ("dataflow", "vectorized", "incremental"):
-        synthesizer = GraphSynthesizer(
-            measurements, seed_graph, pow_=25.0, rng=chain_seed, backend=backend
-        )
-        result = synthesizer.run(60)
-        outcomes[backend] = (
-            result.accepted,
-            synthesizer.log_score,
-            synthesizer.distances(),
-        )
-    accepted, log_score, distances = outcomes["dataflow"]
-    for backend in ("vectorized", "incremental"):
-        other_accepted, other_score, other_distances = outcomes[backend]
-        assert other_accepted == accepted
-        assert other_score == pytest.approx(log_score, abs=1e-6)
-        for name, distance in distances.items():
-            assert other_distances[name] == pytest.approx(distance, abs=1e-7)
+    synthesizer = GraphSynthesizer(measurements, seed_graph, pow_=POW, rng=chain_seed)
+    result = synthesizer.run(60)
+    accepted, log_score, graph = eager_chain(measurements, seed_graph, chain_seed, 60)
+    assert result.accepted == accepted
+    assert_close(synthesizer.log_score, log_score)
+    assert sorted(synthesizer.graph.to_edge_records(symmetric=True)) == sorted(
+        graph.to_edge_records(symmetric=True)
+    )

@@ -1,8 +1,7 @@
-"""Tests for the Metropolis–Hastings machinery (generic and incremental)."""
+"""Tests for the Metropolis–Hastings machinery over dataflow deltas."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core import PrivacySession, WeightedDataset
@@ -10,47 +9,75 @@ from repro.dataflow import DataflowEngine
 from repro.inference import (
     IncrementalMetropolisHastings,
     MCMCResult,
-    MetropolisHastings,
     ScoreTracker,
 )
 
 
-class TestPlainMetropolisHastings:
+class CounterEngine:
+    """A one-number stand-in for the dataflow engine: pushes add to ``value``."""
+
+    def __init__(self) -> None:
+        self.value = 0.0
+
+    def push(self, source, delta) -> None:
+        self.value += delta["x"]
+
+
+class FunctionTracker:
+    """Scores the counter engine's value with a plain function."""
+
+    def __init__(self, engine: CounterEngine, log_score) -> None:
+        self._engine = engine
+        self._log_score = log_score
+
+    def log_score(self) -> float:
+        return float(self._log_score(self._engine.value))
+
+
+def counter_chain(log_score, step=lambda rng: 1.0, rng=0):
+    """A sampler whose state is one number moved by ``step(rng)`` per proposal."""
+    engine = CounterEngine()
+
+    def propose(generator):
+        return {"s": {"x": float(step(generator))}}, (lambda: None), (lambda: None)
+
+    sampler = IncrementalMetropolisHastings(
+        engine, FunctionTracker(engine, log_score), propose, rng=rng
+    )
+    return engine, sampler
+
+
+class TestAcceptanceRule:
     def test_converges_to_high_score_region(self):
-        # State is an integer; score peaks sharply at 10.
-        def propose(state, rng):
-            return state + int(rng.integers(-2, 3))
-
-        def log_score(state):
-            return -abs(state - 10) * 2.0
-
-        sampler = MetropolisHastings(0, propose, log_score, rng=0)
+        # Score peaks sharply at 10.
+        engine, sampler = counter_chain(
+            lambda value: -abs(value - 10) * 2.0,
+            step=lambda rng: rng.integers(-2, 3),
+        )
         result = sampler.run(2000)
-        assert abs(sampler.state - 10) <= 3
+        assert abs(engine.value - 10) <= 3
         assert result.steps == 2000
 
     def test_always_accepts_improvements(self):
-        sampler = MetropolisHastings(
-            0, lambda state, rng: state + 1, lambda state: float(state), rng=0
-        )
+        engine, sampler = counter_chain(lambda value: value)
         sampler.run(50)
-        assert sampler.state == 50
+        assert engine.value == 50
         assert sampler.accepted == 50
 
     def test_rejects_most_large_downhill_moves(self):
-        sampler = MetropolisHastings(
-            0, lambda state, rng: state + 1, lambda state: -100.0 * state, rng=0
-        )
+        engine, sampler = counter_chain(lambda value: -100.0 * value)
         sampler.run(200)
-        assert sampler.state <= 2
+        assert engine.value <= 2
+        # Rejected moves were rolled back: the state counts acceptances only.
+        assert engine.value == sampler.accepted
 
     def test_trajectory_recording_and_metrics(self):
-        sampler = MetropolisHastings(
-            0, lambda state, rng: state + 1, lambda state: float(state), rng=0
-        )
-        result = sampler.run(100, record_every=25, metrics={"state": lambda s: s})
+        engine, sampler = counter_chain(lambda value: value)
+        result = sampler.run(100, record_every=25, metrics={"state": lambda: engine.value})
         assert [record.step for record in result.trajectory] == [25, 50, 75, 100]
+        assert [record.accepted_so_far for record in result.trajectory] == [25, 50, 75, 100]
         assert result.trajectory[-1].metrics["state"] == 100
+        assert result.trajectory[-1].log_score == 100.0
 
     def test_result_properties(self):
         result = MCMCResult(steps=100, accepted=40, log_score=-1.0, elapsed_seconds=2.0)

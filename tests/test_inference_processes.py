@@ -43,9 +43,7 @@ class TestBitIdentity:
             steps=300,
             chains=2,
             pow_=1.0,
-            backend="incremental",
             rng=7,
-            proposal_batch=8,
         )
         threads = run_chains(measurements, seed_graph, **kwargs)
         procs = run_chains(
@@ -68,10 +66,8 @@ class TestBitIdentity:
 
     def test_synthesizer_adopts_winning_process_chain(self, workload):
         measurements, seed_graph = workload
-        synthesizer = GraphSynthesizer(
-            measurements, seed_graph, pow_=1.0, rng=5, backend="incremental"
-        )
-        result = synthesizer.run(120, chains=2, processes=1, proposal_batch=8)
+        synthesizer = GraphSynthesizer(measurements, seed_graph, pow_=1.0, rng=5)
+        result = synthesizer.run(120, chains=2, processes=1)
         outcome = synthesizer.last_parallel_result
         best = outcome.best
         assert best.synthesizer is None

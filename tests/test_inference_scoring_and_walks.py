@@ -102,6 +102,18 @@ class TestScoreTracker:
         tracker.resynchronize()
         assert tracker.log_score() == pytest.approx(before)
 
+    def test_duplicate_plans_share_collector(self):
+        """One plan measured twice costs one incremental evaluation per step."""
+        session = PrivacySession(seed=4)
+        data = session.protect("rows", {"a": 2.0, "b": 1.0})
+        measurement = data.noisy_count(1.0, query_name="rows")
+        engine = DataflowEngine.from_plans([measurement.plan])
+        engine.initialize(session.environment())
+        tracker = ScoreTracker(engine, [measurement, measurement])
+        assert tracker.unique_plan_count == 1
+        assert tracker.scores[0]._collector is tracker.scores[1]._collector
+        assert tracker.scores[0].distance == tracker.scores[1].distance
+
 
 class TestEdgeSwapDelta:
     def test_delta_is_symmetric_and_balanced(self):

@@ -50,8 +50,12 @@ def _record_and_reverse(record):
 
 
 def _first_component(records):
-    """GroupBy reducer: a deterministic, order-insensitive digest."""
-    return min(records)
+    """GroupBy reducer: a deterministic, order-insensitive digest.
+
+    Keyed by ``repr`` because a group can mix flat pairs with pairs that
+    nest an earlier group's digest, which ``<`` cannot order.
+    """
+    return min(records, key=repr)
 
 
 # Each op takes (current plan, source plan) and returns the next plan; all
